@@ -34,6 +34,15 @@ if [ "$quick" -eq 0 ]; then
     run cargo build --workspace --release
 fi
 
+# perfbench: the end-to-end benchmark driver is a workspace of its own
+# that builds against the compiler crates' public API, so an API change
+# that breaks it must fail here rather than in a benchmark run. Its
+# build output goes under the (ignored) main target directory.
+if [ "$quick" -eq 0 ]; then
+    run cargo test --release --manifest-path perfbench/Cargo.toml \
+        --target-dir target/perfbench
+fi
+
 run cargo test --workspace -q
 # The [[bench]] target is excluded from `cargo test`; make sure it still builds.
 run cargo test --workspace -q --benches --no-run

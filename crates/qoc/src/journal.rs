@@ -310,7 +310,7 @@ pub fn replay_journal(
     let mut applied = 0usize;
     for rec in records {
         if let Some(i) = rec.section_index {
-            sections[i].1.store().put(rec.key, rec.entry);
+            sections[i].1.restore(rec.key, rec.entry);
             applied += 1;
         }
     }

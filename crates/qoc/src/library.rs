@@ -6,15 +6,15 @@
 //! hit rate "similar to having a higher cache hit rate". Both policies are
 //! implemented so the ablation bench can compare them.
 //!
-//! Storage is pluggable (see [`crate::store`]): the library resolves a
-//! unitary to a [`CacheKey`] under its policy and delegates to a
-//! [`PulseStore`] tier — in-memory, sharded, or budgeted-with-eviction.
-//! The library (any tier) can also be **persisted**: entries serialize to
-//! JSON via `epoc_rt::json` in sorted-key order, wrapped in a versioned,
-//! checksummed file so torn or truncated writes are detected on load and
-//! degrade to a cold cache instead of corrupting a compile.
+//! The library resolves a unitary to a [`CacheKey`] under its policy and
+//! keeps the entries in one store, optionally byte-budgeted with LRU
+//! eviction (see [`crate::store`]). The library can also be
+//! **persisted**: entries serialize to JSON via `epoc_rt::json` in
+//! sorted-key order, wrapped in a versioned, checksummed file so torn or
+//! truncated writes are detected on load and degrade to a cold cache
+//! instead of corrupting a compile.
 
-use crate::store::{LibraryError, MemoryStore, PulseStore, StoreConfig, StoreTier};
+use crate::store::{LibraryError, Store, StoreConfig};
 use crate::waveform::PulseWaveform;
 use epoc_linalg::{Matrix, PhaseSensitiveKey, UnitaryKey};
 use epoc_rt::json::Json;
@@ -202,9 +202,10 @@ impl CacheKey {
         }
     }
 
-    /// A stable (cross-run, cross-platform) FNV-1a hash of the key, used
-    /// to pick storage shards. `std`'s hasher is seeded per process, so it
-    /// cannot be used anywhere determinism across runs matters.
+    /// A stable (cross-run, cross-platform) FNV-1a hash of the key — a
+    /// compact identifier for logs and reports. `std`'s hasher is seeded
+    /// per process, so it cannot be used anywhere determinism across runs
+    /// matters.
     pub fn stable_hash(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -326,7 +327,7 @@ pub struct PulseLibrary {
     /// and the persisted section header, so a library built for one
     /// control stack can never silently serve another.
     profile_hash: u64,
-    store: Box<dyn PulseStore>,
+    store: Store,
     hits: AtomicUsize,
     misses: AtomicUsize,
     observer: ObserverCell,
@@ -354,27 +355,21 @@ impl std::fmt::Debug for ObserverCell {
 }
 
 impl PulseLibrary {
-    /// Creates an empty library with the given key policy on the
-    /// single-lock in-memory tier.
+    /// Creates an empty, unbudgeted library with the given key policy.
     pub fn new(policy: KeyPolicy) -> Self {
-        Self::with_store(policy, Box::new(MemoryStore::new()))
+        Self::from_config(policy, &StoreConfig::default())
     }
 
-    /// Creates an empty library on an explicit storage tier.
-    pub fn with_store(policy: KeyPolicy, store: Box<dyn PulseStore>) -> Self {
+    /// Creates an empty library whose store a [`StoreConfig`] describes.
+    pub fn from_config(policy: KeyPolicy, config: &StoreConfig) -> Self {
         Self {
             policy,
             profile_hash: 0,
-            store,
+            store: Store::new(config),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             observer: ObserverCell::default(),
         }
-    }
-
-    /// Creates an empty library on the tier a [`StoreConfig`] describes.
-    pub fn from_config(policy: KeyPolicy, config: &StoreConfig) -> Self {
-        Self::with_store(policy, config.build())
     }
 
     /// Scopes the library to a hardware-profile hash (see
@@ -392,17 +387,6 @@ impl PulseLibrary {
     /// The hardware-profile hash this library is scoped to (0 = ideal).
     pub fn profile_hash(&self) -> u64 {
         self.profile_hash
-    }
-
-    /// The storage tier backing this library.
-    pub fn tier(&self) -> StoreTier {
-        self.store.tier()
-    }
-
-    /// The store itself (hit/miss counters live on the library, byte and
-    /// eviction accounting on the store).
-    pub fn store(&self) -> &dyn PulseStore {
-        self.store.as_ref()
     }
 
     /// The key `unitary` resolves to under this library's policy.
@@ -429,13 +413,13 @@ impl PulseLibrary {
             return None;
         }
         let key = self.cache_key(unitary);
-        // Per-tier lookup latency histogram; the clock only runs when
-        // telemetry is recording, so the disabled path stays one load.
+        // Lookup latency histogram; the clock only runs when telemetry is
+        // recording, so the disabled path stays one load.
         let t0 = epoc_rt::telemetry::is_enabled().then(Instant::now);
         let found = self.store.get(&key);
         if let Some(t0) = t0 {
             epoc_rt::telemetry::histogram_record(
-                self.store.tier().lookup_histogram(),
+                "pulse_lib.lookup_ns",
                 t0.elapsed().as_nanos() as u64,
             );
         }
@@ -489,6 +473,14 @@ impl PulseLibrary {
         if let Some(observe) = observer {
             observe(&key, &entry);
         }
+        self.restore(key, entry);
+    }
+
+    /// Stores an already-keyed entry without consulting the insert
+    /// observer or the `pulse_lib.insert` fail point — the bulk-restore
+    /// path shared by [`PulseLibrary::load_json_value`] and journal
+    /// replay, so loaded entries are never re-journaled.
+    pub(crate) fn restore(&self, key: CacheKey, entry: PulseEntry) {
         self.store.put(key, entry);
     }
 
@@ -512,7 +504,7 @@ impl PulseLibrary {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Entries evicted by the storage tier so far (0 for unbounded tiers).
+    /// Entries evicted under the byte budget so far (0 when unbudgeted).
     pub fn evictions(&self) -> u64 {
         self.store.evictions()
     }
@@ -534,8 +526,8 @@ impl PulseLibrary {
     }
 
     /// Serializes the library's entries in sorted-key order (so the same
-    /// contents always produce the same bytes, whatever the storage tier
-    /// or insertion history).
+    /// contents always produce the same bytes, whatever the insertion
+    /// history).
     pub fn to_json_value(&self) -> Json {
         let entries = self
             .store
@@ -619,7 +611,7 @@ impl PulseLibrary {
             if epoc_rt::faults::fail_point("pulse_lib.insert") {
                 continue;
             }
-            self.store.put(key, entry);
+            self.restore(key, entry);
             loaded += 1;
         }
         epoc_rt::telemetry::counter_add("pulse_lib.loaded", loaded as u64);
@@ -830,10 +822,7 @@ mod tests {
     #[test]
     fn concurrent_access() {
         use std::sync::Arc;
-        let lib = Arc::new(PulseLibrary::from_config(
-            KeyPolicy::PhaseAware,
-            &StoreConfig { shards: 4, budget_bytes: None },
-        ));
+        let lib = Arc::new(PulseLibrary::new(KeyPolicy::PhaseAware));
         let mut handles = Vec::new();
         for t in 0..4u64 {
             let lib = Arc::clone(&lib);
@@ -848,7 +837,6 @@ mod tests {
         }
         assert_eq!(lib.len(), 4);
         assert_eq!(lib.hits(), 4);
-        assert_eq!(lib.tier(), StoreTier::Sharded);
     }
 
     #[test]

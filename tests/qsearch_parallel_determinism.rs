@@ -10,21 +10,38 @@ use epoc::{EpocCompiler, EpocConfig, StageTimings};
 use epoc_circuit::generators;
 use epoc_linalg::random_unitary;
 use epoc_rt::rng::StdRng;
+use epoc_rt::telemetry::{self, TelemetryScope};
 use epoc_synth::{synthesize, SynthConfig};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+
+/// Telemetry job ids, unique across the test binary. Sibling tests compile
+/// concurrently and add to the process-global `qsearch.nodes` counter, so
+/// each compile reads only the counter attributed to its own job.
+static NEXT_JOB: AtomicU64 = AtomicU64::new(1);
 
 /// Compiles `circuit` with the given QSearch worker count and returns the
 /// report JSON (wall-clock fields zeroed — observability data, not part of
 /// the deterministic surface) plus how many search nodes the compile
-/// instantiated.
+/// instantiated, as counted by job-scoped telemetry.
 fn compile_json(circuit: &epoc_circuit::Circuit, synth_workers: usize) -> (String, u64) {
-    epoc_rt::telemetry::enable();
+    telemetry::enable();
     let mut config = EpocConfig::fast();
     config.synth.workers = synth_workers;
     let compiler = EpocCompiler::new(config);
-    let before = epoc_rt::telemetry::counter_value("qsearch.nodes");
-    let mut report = compiler.compile(circuit).unwrap();
-    let nodes = epoc_rt::telemetry::counter_value("qsearch.nodes") - before;
+    let job = NEXT_JOB.fetch_add(1, Ordering::Relaxed);
+    let mut report = {
+        let _scope = TelemetryScope::enter(job);
+        compiler.compile(circuit).unwrap()
+    };
+    let nodes = telemetry::job_counters_snapshot()
+        .into_iter()
+        .find(|(j, name, _)| *j == job && name == "qsearch.nodes")
+        .map_or(0, |(_, _, v)| v);
+    assert_eq!(
+        nodes, report.stages.qsearch_nodes as u64,
+        "job-scoped qsearch.nodes disagrees with the report"
+    );
     assert!(
         report.verified,
         "compilation with {synth_workers} synthesis workers failed verification"

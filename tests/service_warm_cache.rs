@@ -8,6 +8,7 @@
 
 use epoc::{CompilationReport, EpocCompiler, EpocConfig, StageTimings, StoreConfig};
 use epoc_circuit::generators;
+use epoc_rt::json::Json;
 use std::io::Write;
 use std::process::{Command, Stdio};
 use std::time::Duration;
@@ -107,14 +108,14 @@ fn warm_schedule_matches_cold_schedule() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Persistence is tier-agnostic: a sharded, byte-budgeted service store
-/// (the `epocd` default shape) round-trips through disk and warm-hits
-/// exactly like the plain map, as long as the budget holds the workload.
+/// Persistence does not depend on the store configuration: a byte-budgeted
+/// store round-trips through disk and warm-hits exactly like an unbounded
+/// one, as long as the budget holds the workload.
 #[test]
 fn budgeted_sharded_tier_survives_restart() {
     let circuit = fixture();
     let path = temp_lib("budgeted");
-    let store = StoreConfig { shards: 4, budget_bytes: Some(1 << 20) };
+    let store = StoreConfig { budget_bytes: Some(1 << 20) };
     let cold_compiler = EpocCompiler::new(config(1).with_store(store));
     let cold = cold_compiler.compile(&circuit).unwrap();
     assert!(cold.verified);
@@ -138,9 +139,8 @@ fn evicted_entries_recompute_on_next_lookup() {
     let unbounded = EpocCompiler::new(config(1));
     let reference = unbounded.compile(&circuit).unwrap();
     // ~one small entry of budget: nearly every insert evicts something.
-    let starved = EpocCompiler::new(
-        config(1).with_store(StoreConfig { shards: 1, budget_bytes: Some(512) }),
-    );
+    let starved =
+        EpocCompiler::new(config(1).with_store(StoreConfig { budget_bytes: Some(512) }));
     let r = starved.compile(&circuit).unwrap();
     assert!(r.verified);
     assert!(starved.library_evictions() > 0, "512-byte budget never evicted");
@@ -152,16 +152,16 @@ fn evicted_entries_recompute_on_next_lookup() {
     // Determinism holds under eviction pressure too: the library is only
     // touched from serial pipeline phases, so the LRU clock — and thus
     // the hit/miss/recompute pattern — is identical at any worker count.
-    let starved4 = EpocCompiler::new(
-        config(4).with_store(StoreConfig { shards: 1, budget_bytes: Some(512) }),
-    );
+    let starved4 =
+        EpocCompiler::new(config(4).with_store(StoreConfig { budget_bytes: Some(512) }));
     let r4 = starved4.compile(&circuit).unwrap();
     assert_eq!(normalized_json(r), normalized_json(r4));
 }
 
 /// Saving the same library twice — including from a restarted store with
-/// a different shard layout — produces byte-identical files: persistence
-/// is canonical, so checkpoints are reproducible artifacts.
+/// a different worker count and store configuration — produces
+/// byte-identical files: persistence is canonical, so checkpoints are
+/// reproducible artifacts.
 #[test]
 fn library_files_are_byte_deterministic() {
     let circuit = fixture();
@@ -170,9 +170,9 @@ fn library_files_are_byte_deterministic() {
     let compiler = EpocCompiler::new(config(1));
     compiler.compile(&circuit).unwrap();
     compiler.save_library(&path_a).unwrap();
-    // Restart into a different shard layout and re-save.
+    // Restart into a budgeted store at another worker count and re-save.
     let restarted = EpocCompiler::new(
-        config(4).with_store(StoreConfig { shards: 8, budget_bytes: None }),
+        config(4).with_store(StoreConfig { budget_bytes: Some(u64::MAX) }),
     );
     restarted.load_library(&path_a).unwrap();
     restarted.save_library(&path_b).unwrap();
@@ -239,6 +239,76 @@ fn epocd_process_restart_serves_warm_cache() {
     assert!(line.contains(r#""ok":true"#), "warm job failed: {line}");
     assert!(line.contains(r#""cache_misses":0"#), "warm process missed: {line}");
     assert!(line.contains(r#""grape_iterations":0"#), "warm process ran GRAPE: {line}");
+    std::fs::remove_file(&path).ok();
+}
+
+/// Drives `--library-budget` through the daemon: a budget smaller than
+/// the pool's working set forces LRU evictions across jobs, the
+/// resident size stays within one budget per library section (`grape`
+/// and `model`), and every job still verifies with exactly the schedule
+/// an unbudgeted daemon returns — a tight budget costs recomputation,
+/// never output.
+#[test]
+fn epocd_library_budget_evicts_without_changing_schedules() {
+    const BUDGET: u64 = 2048;
+    let exe = env!("CARGO_BIN_EXE_epocd");
+    let path = temp_lib("epocd-budget");
+    std::fs::remove_file(&path).ok();
+    let jobs = concat!(
+        r#"{"id":1,"bench":"wstate_n3"}"#, "\n",
+        r#"{"id":2,"bench":"bell_n4"}"#, "\n",
+        r#"{"id":3,"bench":"ising_n6"}"#, "\n",
+        r#"{"id":4,"bench":"bb84_n8"}"#, "\n",
+        r#"{"id":5,"bench":"wstate_n3"}"#, "\n",
+        r#"{"cmd":"stats"}"#, "\n",
+        r#"{"cmd":"shutdown"}"#, "\n",
+    );
+    let run = |extra: &[&str]| -> Vec<Json> {
+        let mut child = Command::new(exe)
+            .args(["--grape", "1", "--no-regroup", "--workers", "2"])
+            .args(extra)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap();
+        child.stdin.take().unwrap().write_all(jobs.as_bytes()).unwrap();
+        let out = child.wait_with_output().unwrap();
+        assert!(out.status.success(), "epocd exited nonzero: {out:?}");
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .map(|l| Json::parse(l).unwrap_or_else(|e| panic!("bad response {l}: {e}")))
+            .collect()
+    };
+    let schedules = |lines: &[Json]| -> Vec<String> {
+        lines[..5]
+            .iter()
+            .map(|line| {
+                assert_eq!(line.get("ok"), Some(&Json::Bool(true)), "job failed: {line:?}");
+                let report = line.get("report").expect("job reply carries a report");
+                assert_eq!(report.get("verified"), Some(&Json::Bool(true)), "unverified: {line:?}");
+                report.get("schedule").expect("report has a schedule").to_string_compact()
+            })
+            .collect()
+    };
+    let budget = BUDGET.to_string();
+    let budgeted = run(&["--library-budget", &budget, "--library", path.to_str().unwrap()]);
+    let unbudgeted = run(&[]);
+    assert_eq!(budgeted.len(), 7, "expected 7 response lines: {budgeted:?}");
+    let stats = budgeted[5].get("stats").expect("stats response");
+    let stat = |name: &str| stats.get(name).and_then(Json::as_f64).unwrap_or(0.0) as u64;
+    assert!(stat("library_evictions") > 0, "budget never evicted: {stats:?}");
+    assert!(
+        stat("library_bytes") <= 2 * BUDGET,
+        "resident {} bytes exceeds one {BUDGET}-byte budget per section",
+        stat("library_bytes")
+    );
+    assert_eq!(
+        schedules(&budgeted),
+        schedules(&unbudgeted),
+        "eviction pressure changed a schedule"
+    );
+    assert!(path.exists(), "shutdown left no library file");
     std::fs::remove_file(&path).ok();
 }
 
